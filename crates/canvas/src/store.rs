@@ -14,10 +14,10 @@
 //!
 //! * **placed** ([`PyramidCanvas::place_tile`]): the canvas retains the
 //!   placements and resolves a dirty scale-0 chunk by re-blending every
-//!   intersecting tile in row-major id order — the exact arithmetic of
-//!   `Composer::compose_region`, including highlight borders overriding
-//!   the blend. Re-placing a tile (a re-anchor) dirties only its old and
-//!   new footprints.
+//!   intersecting tile in row-major id order through
+//!   `Composer::compose_region`'s own blend kernel, including highlight
+//!   borders overriding the blend. Re-placing a tile (a re-anchor)
+//!   dirties only its old and new footprints.
 //! * **baked** ([`PyramidCanvas::bake_region`]): already-composed,
 //!   non-overlapping pixel rectangles (e.g. the sharded driver's
 //!   composition bands) are written straight into scale-0 chunks and
@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use stitch_core::{Blend, TileId};
+use stitch_core::{Blend, BlendAccumulator, TileId};
 use stitch_image::Image;
 
 /// Canvas geometry and blend policy.
@@ -304,93 +304,23 @@ impl PyramidCanvas {
         }
     }
 
-    /// Blends every placement intersecting the scale-0 chunk, replaying
-    /// `Composer::compose_region`'s arithmetic: row-major tile order,
-    /// `f64` accumulators, highlight borders overriding the blend, and
-    /// `(acc / weight).clamp(0, 65535).round()` resolution. Returns
-    /// `None` when nothing intersects.
+    /// Blends every placement intersecting the scale-0 chunk through
+    /// `Composer`'s own kernel ([`BlendAccumulator`]), in row-major tile
+    /// order. Returns `None` when nothing intersects.
     fn resolve_base_chunk(&mut self, cx: i64, cy: i64) -> Option<Vec<u16>> {
         let c = self.cfg.chunk;
         let (rx0, ry0) = (cx * c as i64, cy * c as i64);
-        let (rx1, ry1) = (rx0 + c as i64, ry0 + c as i64);
-        let mut acc = vec![0.0f64; c * c];
-        let mut weight = vec![0.0f64; c * c];
-        let mut border_mask = self.cfg.highlight_tiles.then(|| vec![false; c * c]);
+        let mut blend = BlendAccumulator::new(self.cfg.blend, self.cfg.highlight_tiles, c, c);
         let mut covered = false;
         for placement in self.placements.values() {
             let (px, py) = placement.pos;
-            let tile = &placement.image;
-            let (tw, th) = tile.dims();
-            let ix0 = px.max(rx0);
-            let iy0 = py.max(ry0);
-            let ix1 = (px + tw as i64).min(rx1);
-            let iy1 = (py + th as i64).min(ry1);
-            if ix0 >= ix1 || iy0 >= iy1 {
-                continue;
-            }
-            covered = true;
-            for gy in iy0..iy1 {
-                let ty = (gy - py) as usize;
-                let row = tile.row(ty);
-                let out_row = (gy - ry0) as usize * c;
-                for gx in ix0..ix1 {
-                    let tx = (gx - px) as usize;
-                    let v = row[tx] as f64;
-                    let oi = out_row + (gx - rx0) as usize;
-                    if let Some(mask) = border_mask.as_deref_mut() {
-                        if tx == 0 || ty == 0 || tx == tw - 1 || ty == th - 1 {
-                            mask[oi] = true;
-                        }
-                    }
-                    match self.cfg.blend {
-                        Blend::Overlay => {
-                            acc[oi] = v;
-                            weight[oi] = 1.0;
-                        }
-                        Blend::First => {
-                            if weight[oi] == 0.0 {
-                                acc[oi] = v;
-                                weight[oi] = 1.0;
-                            }
-                        }
-                        Blend::Average => {
-                            acc[oi] += v;
-                            weight[oi] += 1.0;
-                        }
-                        Blend::Linear => {
-                            let dxe = (tx.min(tw - 1 - tx) + 1) as f64;
-                            let dye = (ty.min(th - 1 - ty) + 1) as f64;
-                            let wgt = dxe * dye;
-                            acc[oi] += v * wgt;
-                            weight[oi] += wgt;
-                        }
-                    }
-                }
-            }
+            covered |= blend.add(&placement.image, px - rx0, py - ry0);
         }
         if !covered {
             return None;
         }
         self.stats.resolves += 1;
-        let mut pixels: Vec<u16> = acc
-            .into_iter()
-            .zip(weight)
-            .map(|(a, wt)| {
-                if wt > 0.0 {
-                    (a / wt).clamp(0.0, 65535.0).round() as u16
-                } else {
-                    0
-                }
-            })
-            .collect();
-        if let Some(mask) = border_mask {
-            for (px, is_border) in pixels.iter_mut().zip(mask) {
-                if is_border {
-                    *px = 65535;
-                }
-            }
-        }
-        Some(pixels)
+        Some(blend.finish())
     }
 
     /// Resolves a scale-`s` chunk from its four scale-`(s-1)` children

@@ -32,6 +32,121 @@ pub enum Blend {
     Linear,
 }
 
+/// The blend kernel of phase 3, shared by [`Composer`] and the pyramid
+/// canvas: `f64` accumulators over a `w × h` window, tiles added in
+/// row-major id order, highlight borders overriding the blend, and
+/// `(acc / weight).clamp(0, 65535).round()` resolution.
+pub struct BlendAccumulator {
+    blend: Blend,
+    w: usize,
+    h: usize,
+    acc: Vec<f64>,
+    weight: Vec<f64>,
+    /// Borders beat the blend: marked while adding, stamped on finish.
+    border_mask: Option<Vec<bool>>,
+}
+
+impl BlendAccumulator {
+    /// An empty `w × h` window.
+    pub fn new(blend: Blend, highlight_tiles: bool, w: usize, h: usize) -> BlendAccumulator {
+        BlendAccumulator {
+            blend,
+            w,
+            h,
+            acc: vec![0.0; w * h],
+            weight: vec![0.0; w * h],
+            border_mask: highlight_tiles.then(|| vec![false; w * h]),
+        }
+    }
+
+    /// True when a `tw × th` tile with its top-left at `(px, py)` (window
+    /// coordinates) overlaps the window.
+    pub fn touches(&self, px: i64, py: i64, tw: usize, th: usize) -> bool {
+        px.max(0) < (px + tw as i64).min(self.w as i64)
+            && py.max(0) < (py + th as i64).min(self.h as i64)
+    }
+
+    /// Blends the part of `tile` (top-left at `(px, py)` in window
+    /// coordinates) that falls inside the window. Returns whether any
+    /// pixel was covered.
+    pub fn add(&mut self, tile: &Image<u16>, px: i64, py: i64) -> bool {
+        let (tw, th) = tile.dims();
+        let w = self.w;
+        let ix0 = px.max(0);
+        let iy0 = py.max(0);
+        let ix1 = (px + tw as i64).min(w as i64);
+        let iy1 = (py + th as i64).min(self.h as i64);
+        if ix0 >= ix1 || iy0 >= iy1 {
+            return false;
+        }
+        let (acc, weight) = (&mut self.acc, &mut self.weight);
+        for gy in iy0..iy1 {
+            let ty = (gy - py) as usize;
+            let row = tile.row(ty);
+            let out_row = gy as usize * w;
+            for gx in ix0..ix1 {
+                let tx = (gx - px) as usize;
+                let v = row[tx] as f64;
+                let oi = out_row + gx as usize;
+                if let Some(mask) = self.border_mask.as_deref_mut() {
+                    if tx == 0 || ty == 0 || tx == tw - 1 || ty == th - 1 {
+                        mask[oi] = true;
+                    }
+                }
+                match self.blend {
+                    Blend::Overlay => {
+                        acc[oi] = v;
+                        weight[oi] = 1.0;
+                    }
+                    Blend::First => {
+                        if weight[oi] == 0.0 {
+                            acc[oi] = v;
+                            weight[oi] = 1.0;
+                        }
+                    }
+                    Blend::Average => {
+                        acc[oi] += v;
+                        weight[oi] += 1.0;
+                    }
+                    Blend::Linear => {
+                        // weight by distance to the nearest tile edge
+                        let dxe = (tx.min(tw - 1 - tx) + 1) as f64;
+                        let dye = (ty.min(th - 1 - ty) + 1) as f64;
+                        let wgt = dxe * dye;
+                        acc[oi] += v * wgt;
+                        weight[oi] += wgt;
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// Resolves the window to pixels, row-major; uncovered pixels are 0.
+    pub fn finish(self) -> Vec<u16> {
+        let mut pixels: Vec<u16> = self
+            .acc
+            .into_iter()
+            .zip(self.weight)
+            .map(|(a, wt)| {
+                if wt > 0.0 {
+                    (a / wt).clamp(0.0, 65535.0).round() as u16
+                } else {
+                    0
+                }
+            })
+            .collect();
+        if let Some(mask) = self.border_mask {
+            for (px, is_border) in pixels.iter_mut().zip(mask) {
+                if is_border {
+                    *px = 65535;
+                }
+            }
+        }
+        pixels
+    }
+}
+
 /// Mosaic composer: absolute positions + blend mode.
 pub struct Composer {
     positions: AbsolutePositions,
@@ -139,23 +254,16 @@ impl Composer {
         let (tw, th) = source.tile_dims();
         let (ox, oy) = self.origin;
         let shape = self.positions.shape;
-        let mut acc = vec![0.0f64; w * h];
-        let mut weight = vec![0.0f64; w * h];
-        // borders beat the blend: marked here, stamped after resolution
-        let mut border_mask = self.highlight_tiles.then(|| vec![false; w * h]);
-        let (rx0, ry0, rx1, ry1) = (x0 as i64, y0 as i64, (x0 + w) as i64, (y0 + h) as i64);
+        let mut blend = BlendAccumulator::new(self.blend, self.highlight_tiles, w, h);
+        let (rx0, ry0) = (x0 as i64, y0 as i64);
         let _span = self
             .trace
             .scope("compose", "compute", format!("region {w}x{h}@({x0},{y0})"));
         for id in shape.ids() {
             let (px, py) = self.positions.get(id);
-            let (px, py) = (px - ox, py - oy);
-            // intersect tile rectangle with the requested window
-            let ix0 = px.max(rx0);
-            let iy0 = py.max(ry0);
-            let ix1 = (px + tw as i64).min(rx1);
-            let iy1 = (py + th as i64).min(ry1);
-            if ix0 >= ix1 || iy0 >= iy1 {
+            // tile origin in window coordinates
+            let (px, py) = (px - ox - rx0, py - oy - ry0);
+            if !blend.touches(px, py, tw, th) {
                 continue;
             }
             // a tile that can't be read leaves a hole in the mosaic
@@ -178,65 +286,9 @@ impl Composer {
                     owned.insert(loaded)
                 }
             };
-            for gy in iy0..iy1 {
-                let ty = (gy - py) as usize;
-                let row = tile.row(ty);
-                let out_row = (gy - ry0) as usize * w;
-                for gx in ix0..ix1 {
-                    let tx = (gx - px) as usize;
-                    let v = row[tx] as f64;
-                    let oi = out_row + (gx - rx0) as usize;
-                    if let Some(mask) = border_mask.as_deref_mut() {
-                        if tx == 0 || ty == 0 || tx == tw - 1 || ty == th - 1 {
-                            mask[oi] = true;
-                        }
-                    }
-                    match self.blend {
-                        Blend::Overlay => {
-                            acc[oi] = v;
-                            weight[oi] = 1.0;
-                        }
-                        Blend::First => {
-                            if weight[oi] == 0.0 {
-                                acc[oi] = v;
-                                weight[oi] = 1.0;
-                            }
-                        }
-                        Blend::Average => {
-                            acc[oi] += v;
-                            weight[oi] += 1.0;
-                        }
-                        Blend::Linear => {
-                            // weight by distance to the nearest tile edge
-                            let dxe = (tx.min(tw - 1 - tx) + 1) as f64;
-                            let dye = (ty.min(th - 1 - ty) + 1) as f64;
-                            let wgt = dxe * dye;
-                            acc[oi] += v * wgt;
-                            weight[oi] += wgt;
-                        }
-                    }
-                }
-            }
+            blend.add(tile, px, py);
         }
-        let mut pixels: Vec<u16> = acc
-            .into_iter()
-            .zip(weight)
-            .map(|(a, wt)| {
-                if wt > 0.0 {
-                    (a / wt).clamp(0.0, 65535.0).round() as u16
-                } else {
-                    0
-                }
-            })
-            .collect();
-        if let Some(mask) = border_mask {
-            for (px, is_border) in pixels.iter_mut().zip(mask) {
-                if is_border {
-                    *px = 65535;
-                }
-            }
-        }
-        Image::from_vec(w, h, pixels)
+        Image::from_vec(w, h, blend.finish())
     }
 
     fn traced_load(&self, source: &dyn TileSource, id: TileId) -> Result<Image<u16>, ()> {

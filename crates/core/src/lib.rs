@@ -48,7 +48,6 @@ pub mod memlimit;
 pub mod mt_cpu;
 pub mod opcount;
 pub mod pciam;
-pub mod pciam_padded;
 pub mod pciam_real;
 pub mod pipelined_cpu;
 pub mod pipelined_gpu;
@@ -66,7 +65,7 @@ pub use channel::{
     ComposeUnit, CorrectedSource, MaxZSource, MultiDirSource, MultiSyntheticSource,
     MultiTileSource, PlaneSource, ZMode,
 };
-pub use compose::{pyramid, Blend, Composer};
+pub use compose::{pyramid, Blend, BlendAccumulator, Composer};
 pub use fault::{
     load_with_retry, FailurePolicy, FaultSpec, FaultTracker, FaultySource, HealthReport,
     RetryPolicy, SourceError, StitchError, TileStatus,
@@ -77,7 +76,6 @@ pub use hostpool::{PooledSpectrum, SpectrumPool};
 pub use mt_cpu::MtCpuStitcher;
 pub use opcount::{OpCounters, OpCounts};
 pub use pciam::PciamContext;
-pub use pciam_padded::PaddedPciamContext;
 pub use pciam_real::{Correlator, RealPciamContext, TransformKind};
 pub use pipelined_cpu::{PipelinedCpuConfig, PipelinedCpuStitcher};
 pub use pipelined_gpu::{GhostMode, PipelinedGpuConfig, PipelinedGpuStitcher};

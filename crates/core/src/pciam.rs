@@ -20,10 +20,21 @@
 //! in plate coordinates — pixel `p` of `b` shows the same plate content as
 //! pixel `p + d` of `a`. For a west pair, `a` is the western tile and `d.x
 //! ≈ +step`; for a north pair, `a` is the northern tile and `d.y ≈ +step`.
+//!
+//! **Padding** (§VI-A): "Padding image tiles (or trimming them) to have
+//! smaller prime factors (e.g., 1536 × 1536) is known to enhance the
+//! performance of FFTW and cuFFT." A [`PciamContext`] may transform on a
+//! rectangle larger than the tile ([`PciamContext::padded`] picks the
+//! next 7-smooth one). The tile is then embedded top-left and padded with
+//! its mean — mean padding keeps the DC bin honest and avoids the hard
+//! zero-edge discontinuity that would inject spurious axis correlations.
+//! The correlation peak lives on the padded torus, so candidate
+//! displacements come from the *padded* periodicity, while the CCF still
+//! scores them against the original pixels.
 
 use std::sync::Arc;
 
-use stitch_fft::{c64, Direction, Fft2d, Planner, C64};
+use stitch_fft::{c64, factor::next_smooth, peaks, Direction, Fft2d, Planner, C64};
 use stitch_image::Image;
 
 use crate::hostpool::{PooledSpectrum, SpectrumPool};
@@ -42,10 +53,6 @@ const MIN_OVERLAP_PIXELS: i64 = 4;
 /// costs four cheap CCF evaluations each and removes that failure mode.
 pub const DEFAULT_PEAK_COUNT: usize = 8;
 
-/// Chebyshev radius within which nearby maxima are considered the same
-/// peak during top-K extraction.
-const PEAK_SUPPRESSION_RADIUS: usize = 2;
-
 /// How many of the best-scoring candidates get CCF refinement. All
 /// candidates are refined: the pre-refinement score of a peak one pixel
 /// off the truth is a poor predictor of its refined score.
@@ -62,13 +69,45 @@ pub(crate) struct PairScratch {
     pub(crate) scored: Vec<(f64, Displacement)>,
 }
 
+impl PairScratch {
+    /// Fig 2 steps 8–12 on the peaks in `self.peaks`: expands each into
+    /// its four candidates under the `period` of the correlation surface
+    /// (the transform dims), scores them against the tiles' pixels, and
+    /// counts one CCF group.
+    pub(crate) fn resolve(
+        &mut self,
+        period: (usize, usize),
+        img_a: &Image<u16>,
+        img_b: &Image<u16>,
+        kind: Option<PairKind>,
+        counters: &OpCounters,
+    ) -> Displacement {
+        self.indices.clear();
+        self.indices.extend(self.peaks.iter().map(|&(i, _)| i));
+        let d = resolve_peaks_oriented_into(
+            &self.indices,
+            period.0,
+            period.1,
+            img_a,
+            img_b,
+            kind,
+            &mut self.scored,
+        );
+        counters.count_ccf_group();
+        d
+    }
+}
+
 /// Per-thread context for PCIAM computations over one tile geometry:
 /// holds the planned transforms, scratch memory, and a [`SpectrumPool`]
 /// that recycles tile-spectrum buffers, so the steady-state hot path
-/// performs no heap allocation at all.
+/// performs no heap allocation at all. The transform dims equal the tile
+/// dims on the exact path and exceed them on the padded one.
 pub struct PciamContext {
     width: usize,
     height: usize,
+    fft_w: usize,
+    fft_h: usize,
     forward: Fft2d,
     inverse: Fft2d,
     scratch: Vec<C64>,
@@ -96,18 +135,56 @@ impl PciamContext {
         counters: Arc<OpCounters>,
         pool: SpectrumPool,
     ) -> Self {
-        assert_eq!(pool.buf_len(), width * height, "pool sized for other tiles");
+        Self::with_transform_dims(planner, (width, height), (width, height), counters, pool)
+    }
+
+    /// A context that transforms mean-padded tiles on the next 7-smooth
+    /// rectangle ([`PciamContext::padded_dims_for`]), with a private pool.
+    pub fn padded(
+        planner: &Planner,
+        width: usize,
+        height: usize,
+        counters: Arc<OpCounters>,
+    ) -> Self {
+        let (pw, ph) = Self::padded_dims_for(width, height);
+        let pool = SpectrumPool::new(pw * ph);
+        Self::with_transform_dims(planner, (width, height), (pw, ph), counters, pool)
+    }
+
+    /// The general constructor: `tile` dims, `transform` dims (each at
+    /// least the tile's), and a pool of `transform.0 · transform.1` bins.
+    pub(crate) fn with_transform_dims(
+        planner: &Planner,
+        tile: (usize, usize),
+        transform: (usize, usize),
+        counters: Arc<OpCounters>,
+        pool: SpectrumPool,
+    ) -> Self {
+        let ((width, height), (fft_w, fft_h)) = (tile, transform);
+        assert!(
+            fft_w >= width && fft_h >= height,
+            "transform smaller than tile"
+        );
+        let n = fft_w * fft_h;
+        assert_eq!(pool.buf_len(), n, "pool sized for other tiles");
         PciamContext {
             width,
             height,
-            forward: Fft2d::new(planner, width, height, Direction::Forward),
-            inverse: Fft2d::new(planner, width, height, Direction::Inverse),
-            scratch: vec![C64::ZERO; width * height],
-            work: vec![C64::ZERO; width * height],
+            fft_w,
+            fft_h,
+            forward: Fft2d::new(planner, fft_w, fft_h, Direction::Forward),
+            inverse: Fft2d::new(planner, fft_w, fft_h, Direction::Inverse),
+            scratch: vec![C64::ZERO; n],
+            work: vec![C64::ZERO; n],
             pool,
             pair: PairScratch::default(),
             counters,
         }
+    }
+
+    /// The 7-smooth dims a `width × height` tile pads to.
+    pub fn padded_dims_for(width: usize, height: usize) -> (usize, usize) {
+        (next_smooth(width), next_smooth(height))
     }
 
     /// Tile width.
@@ -120,19 +197,38 @@ impl PciamContext {
         self.height
     }
 
+    /// The transform (correlation surface) dims `(w, h)`.
+    pub fn transform_dims(&self) -> (usize, usize) {
+        (self.fft_w, self.fft_h)
+    }
+
     /// The shared operation counters.
     pub fn counters(&self) -> &Arc<OpCounters> {
         &self.counters
     }
 
-    /// Step 2 of Fig 2: the forward 2-D FFT of a tile. The returned
-    /// spectrum's storage comes from (and returns to) the context's
-    /// [`SpectrumPool`] — drop it and the next tile reuses the memory.
+    /// Step 2 of Fig 2: the forward 2-D FFT of a tile (mean-padded when
+    /// the transform dims exceed the tile's). The returned spectrum's
+    /// storage comes from (and returns to) the context's [`SpectrumPool`]
+    /// — drop it and the next tile reuses the memory.
     pub fn forward_fft(&mut self, img: &Image<u16>) -> PooledSpectrum {
         assert_eq!(img.dims(), (self.width, self.height), "tile dims mismatch");
         let mut data = self.pool.acquire();
-        for (d, &p) in data.iter_mut().zip(img.pixels()) {
-            *d = c64(p as f64, 0.0);
+        if (self.fft_w, self.fft_h) == (self.width, self.height) {
+            for (d, &p) in data.iter_mut().zip(img.pixels()) {
+                *d = c64(p as f64, 0.0);
+            }
+        } else {
+            data.fill(c64(img.mean(), 0.0));
+            for (y, dst) in data
+                .chunks_exact_mut(self.fft_w)
+                .take(self.height)
+                .enumerate()
+            {
+                for (d, &p) in dst.iter_mut().zip(img.row(y)) {
+                    *d = c64(p as f64, 0.0);
+                }
+            }
         }
         self.forward.process(&mut data, &mut self.scratch);
         self.counters.count_forward_fft();
@@ -154,9 +250,10 @@ impl PciamContext {
     }
 
     /// Allocation-free core of [`PciamContext::correlation_peaks`]: the
-    /// result lands in `self.pair.peaks`.
+    /// result lands in `self.pair.peaks`. Peak indices address the
+    /// transform-dims surface.
     fn correlation_peaks_into(&mut self, fa: &[C64], fb: &[C64], k: usize) {
-        let n = self.width * self.height;
+        let n = self.fft_w * self.fft_h;
         assert_eq!(fa.len(), n);
         assert_eq!(fb.len(), n);
         assert!(k >= 1);
@@ -169,17 +266,18 @@ impl PciamContext {
             .process_ncc_fused(backend, fa, fb, &mut self.work, &mut self.scratch);
         self.counters.count_elementwise();
         self.counters.count_inverse_fft();
-        top_peaks_into(
+        peaks::top_k_into(
             &self.work,
-            self.width,
+            self.fft_w,
             k,
+            |v| v.norm_sqr(),
             &mut self.pair.cand,
             &mut self.pair.peaks,
         );
         self.counters.count_max_reduction();
         let scale = 1.0 / n as f64;
         for p in &mut self.pair.peaks {
-            p.1 *= scale;
+            p.1 = p.1.sqrt() * scale;
         }
     }
 
@@ -212,21 +310,8 @@ impl PciamContext {
         kind: Option<PairKind>,
     ) -> Displacement {
         self.correlation_peaks_into(fa, fb, DEFAULT_PEAK_COUNT);
-        self.pair.indices.clear();
         self.pair
-            .indices
-            .extend(self.pair.peaks.iter().map(|&(i, _)| i));
-        let d = resolve_peaks_oriented_into(
-            &self.pair.indices,
-            self.width,
-            self.height,
-            img_a,
-            img_b,
-            kind,
-            &mut self.pair.scored,
-        );
-        self.counters.count_ccf_group();
-        d
+            .resolve((self.fft_w, self.fft_h), img_a, img_b, kind, &self.counters)
     }
 
     /// Convenience: the whole of Fig 2 for a pair of images.
@@ -453,65 +538,6 @@ pub fn overlap_pixels(width: usize, height: usize, dx: i64, dy: i64) -> i64 {
     }
 }
 
-/// Extracts up to `k` distinct maxima of `|data|`, strongest first,
-/// merging maxima within a small Chebyshev radius. Single pass with a
-/// small insertion buffer — O(n·k) worst case, and k is single digits.
-pub fn top_peaks(data: &[C64], width: usize, k: usize) -> Vec<(usize, f64)> {
-    let mut cand = Vec::new();
-    let mut out = Vec::new();
-    top_peaks_into(data, width, k, &mut cand, &mut out);
-    out
-}
-
-/// Allocation-free core of [`top_peaks`]: `cand` is the gather buffer,
-/// `out` receives the result (both cleared on entry; capacities persist
-/// across calls, so reuse makes the steady state allocation-free).
-pub(crate) fn top_peaks_into(
-    data: &[C64],
-    width: usize,
-    k: usize,
-    cand: &mut Vec<(usize, f64)>,
-    out: &mut Vec<(usize, f64)>,
-) {
-    // Gather generously (peaks can shadow each other inside the
-    // suppression radius), then suppress.
-    let gather = (4 * k).max(16);
-    cand.clear();
-    cand.reserve(gather + 1);
-    let mut floor = f64::MIN;
-    for (i, v) in data.iter().enumerate() {
-        let m = v.norm_sqr();
-        if m <= floor {
-            continue;
-        }
-        let pos = cand.partition_point(|&(_, cm)| cm >= m);
-        cand.insert(pos, (i, m));
-        if cand.len() > gather {
-            cand.pop();
-            floor = cand.last().unwrap().1;
-        }
-    }
-    let r = PEAK_SUPPRESSION_RADIUS as i64;
-    out.clear();
-    out.reserve(k.min(gather));
-    'cands: for &(i, m) in cand.iter() {
-        let (x, y) = ((i % width) as i64, (i / width) as i64);
-        for &(j, _) in out.iter() {
-            let (px, py) = ((j % width) as i64, (j / width) as i64);
-            if (x - px).abs() <= r && (y - py).abs() <= r {
-                continue 'cands;
-            }
-        }
-        out.push((i, m));
-        if out.len() == k {
-            break;
-        }
-    }
-    for p in out.iter_mut() {
-        p.1 = p.1.sqrt();
-    }
-}
-
 /// The cross-correlation factor of Fig 3 evaluated at a *signed*
 /// displacement: Pearson correlation of the pixels where tile `b`,
 /// placed at offset `(dx, dy)` inside tile `a`'s frame, overlaps `a`.
@@ -709,5 +735,73 @@ mod tests {
         let (a, b) = scene_pair(w, h, 43, 2, 0.0);
         let d = ctx(w, h).pciam(&a, &b);
         assert_eq!((d.x, d.y), (43, 2));
+    }
+
+    /// The padded-path tests' pair: blurred, noisy views of a second scene.
+    fn blurred_scene_pair(w: usize, h: usize, dx: i64, dy: i64) -> (Image<u16>, Image<u16>) {
+        let scene = Scene::generate(
+            w as f64 * 3.0,
+            h as f64 * 3.0,
+            SceneParams {
+                colony_count: 20,
+                seed: 777,
+                ..SceneParams::default()
+            },
+        );
+        let a = scene.render_region(w as f64, h as f64, w, h, 0.02, 30.0, 1);
+        let b = scene.render_region(
+            w as f64 + dx as f64,
+            h as f64 + dy as f64,
+            w,
+            h,
+            0.02,
+            30.0,
+            2,
+        );
+        (a, b)
+    }
+
+    #[test]
+    fn pads_to_seven_smooth() {
+        // 87 = 3·29 (29-smooth), 58 = 2·29 — awkward on purpose
+        let ctx = PciamContext::padded(&Planner::default(), 87, 58, OpCounters::new_shared());
+        let (pw, ph) = ctx.transform_dims();
+        assert_eq!((pw, ph), (90, 60)); // 2·3²·5 and 2²·3·5
+        assert!(pw >= 87 && ph >= 58);
+    }
+
+    #[test]
+    fn recovers_shift_on_awkward_sizes() {
+        let (w, h) = (87usize, 58usize);
+        let (a, b) = blurred_scene_pair(w, h, 64, 2);
+        let mut ctx = PciamContext::padded(&Planner::default(), w, h, OpCounters::new_shared());
+        let fa = ctx.forward_fft(&a);
+        let fb = ctx.forward_fft(&b);
+        let d = ctx.displacement_oriented(&fa, &fb, &a, &b, Some(PairKind::West));
+        assert_eq!((d.x, d.y), (64, 2));
+    }
+
+    #[test]
+    fn agrees_with_exact_path() {
+        let (w, h) = (87usize, 58usize);
+        let planner = Planner::default();
+        for (dx, dy) in [(60i64, 3i64), (66, -2), (58, 0)] {
+            let (a, b) = blurred_scene_pair(w, h, dx, dy);
+            let mut exact = PciamContext::new(&planner, w, h, OpCounters::new_shared());
+            let ea = exact.forward_fft(&a);
+            let eb = exact.forward_fft(&b);
+            let de = exact.displacement_oriented(&ea, &eb, &a, &b, Some(PairKind::West));
+            let mut padded = PciamContext::padded(&planner, w, h, OpCounters::new_shared());
+            let pa = padded.forward_fft(&a);
+            let pb = padded.forward_fft(&b);
+            let dp = padded.displacement_oriented(&pa, &pb, &a, &b, Some(PairKind::West));
+            assert_eq!((dp.x, dp.y), (de.x, de.y), "({dx},{dy})");
+        }
+    }
+
+    #[test]
+    fn already_smooth_sizes_pad_to_themselves() {
+        let ctx = PciamContext::padded(&Planner::default(), 96, 64, OpCounters::new_shared());
+        assert_eq!(ctx.transform_dims(), (96, 64));
     }
 }

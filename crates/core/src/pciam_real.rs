@@ -20,18 +20,13 @@
 
 use std::sync::Arc;
 
-use stitch_fft::{Planner, RealFft2d, C64};
+use stitch_fft::{peaks, Planner, RealFft2d, C64};
 use stitch_image::Image;
 
 use crate::hostpool::{PooledSpectrum, SpectrumPool};
 use crate::opcount::OpCounters;
-use crate::pciam::{resolve_peaks_oriented_into, PairScratch, PciamContext, DEFAULT_PEAK_COUNT};
-use crate::pciam_padded::PaddedPciamContext;
+use crate::pciam::{PairScratch, PciamContext, DEFAULT_PEAK_COUNT};
 use crate::types::{Displacement, PairKind};
-
-/// Chebyshev radius for top-K peak suppression (kept in sync with the
-/// complex path).
-const PEAK_SUPPRESSION_RADIUS: i64 = 2;
 
 /// Per-thread context for half-spectrum PCIAM computations.
 pub struct RealPciamContext {
@@ -133,10 +128,11 @@ impl RealPciamContext {
         self.counters.count_elementwise();
         self.fft.inverse(&self.work, &mut self.surface);
         self.counters.count_inverse_fft();
-        top_real_peaks_into(
+        peaks::top_k_into(
             &self.surface,
             self.width,
             k,
+            |v| v.abs(),
             &mut self.pair.cand,
             &mut self.pair.peaks,
         );
@@ -154,75 +150,14 @@ impl RealPciamContext {
         kind: Option<PairKind>,
     ) -> Displacement {
         self.correlation_peaks_into(fa, fb, DEFAULT_PEAK_COUNT);
-        self.pair.indices.clear();
-        self.pair
-            .indices
-            .extend(self.pair.peaks.iter().map(|&(i, _)| i));
-        let d = resolve_peaks_oriented_into(
-            &self.pair.indices,
-            self.width,
-            self.height,
+        self.pair.resolve(
+            (self.width, self.height),
             img_a,
             img_b,
             kind,
-            &mut self.pair.scored,
-        );
-        self.counters.count_ccf_group();
-        d
+            &self.counters,
+        )
     }
-}
-
-/// Top-`k` |·| maxima of a real surface with Chebyshev suppression —
-/// the f64 twin of the complex path's peak extraction. `cand`/`out` are
-/// reusable buffers, cleared on entry.
-fn top_real_peaks_into(
-    data: &[f64],
-    width: usize,
-    k: usize,
-    cand: &mut Vec<(usize, f64)>,
-    out: &mut Vec<(usize, f64)>,
-) {
-    let gather = (4 * k).max(16);
-    cand.clear();
-    cand.reserve(gather + 1);
-    let mut floor = f64::MIN;
-    for (i, &v) in data.iter().enumerate() {
-        let m = v.abs();
-        if m <= floor {
-            continue;
-        }
-        let pos = cand.partition_point(|&(_, cm)| cm >= m);
-        cand.insert(pos, (i, m));
-        if cand.len() > gather {
-            cand.pop();
-            floor = cand.last().unwrap().1;
-        }
-    }
-    out.clear();
-    out.reserve(k.min(gather));
-    'cands: for &(i, m) in cand.iter() {
-        let (x, y) = ((i % width) as i64, (i / width) as i64);
-        for &(j, _) in out.iter() {
-            let (px, py) = ((j % width) as i64, (j / width) as i64);
-            if (x - px).abs() <= PEAK_SUPPRESSION_RADIUS
-                && (y - py).abs() <= PEAK_SUPPRESSION_RADIUS
-            {
-                continue 'cands;
-            }
-        }
-        out.push((i, m));
-        if out.len() == k {
-            break;
-        }
-    }
-}
-
-#[cfg(test)]
-fn top_real_peaks(data: &[f64], width: usize, k: usize) -> Vec<(usize, f64)> {
-    let mut cand = Vec::new();
-    let mut out = Vec::new();
-    top_real_peaks_into(data, width, k, &mut cand, &mut out);
-    out
 }
 
 /// Which transform path phase 1 uses.
@@ -241,12 +176,10 @@ pub enum TransformKind {
 /// A transform-path-agnostic PCIAM context: the stitcher implementations
 /// hold one of these and switch paths by configuration.
 pub enum Correlator {
-    /// Complex path.
+    /// Complex path, exact or padded ([`PciamContext::transform_dims`]).
     Complex(PciamContext),
     /// Half-spectrum path.
     Real(RealPciamContext),
-    /// Padded-complex path.
-    Padded(PaddedPciamContext),
 }
 
 impl Correlator {
@@ -280,8 +213,12 @@ impl Correlator {
             TransformKind::Real => Correlator::Real(RealPciamContext::with_pool(
                 planner, width, height, counters, pool,
             )),
-            TransformKind::PaddedComplex => Correlator::Padded(PaddedPciamContext::with_pool(
-                planner, width, height, counters, pool,
+            TransformKind::PaddedComplex => Correlator::Complex(PciamContext::with_transform_dims(
+                planner,
+                (width, height),
+                PciamContext::padded_dims_for(width, height),
+                counters,
+                pool,
             )),
         }
     }
@@ -304,7 +241,7 @@ impl Correlator {
             TransformKind::Complex => width * height,
             TransformKind::Real => stitch_fft::real::spectrum_len(width) * height,
             TransformKind::PaddedComplex => {
-                let (pw, ph) = PaddedPciamContext::padded_dims_for(width, height);
+                let (pw, ph) = PciamContext::padded_dims_for(width, height);
                 pw * ph
             }
         }
@@ -316,7 +253,6 @@ impl Correlator {
         match self {
             Correlator::Complex(c) => c.forward_fft(img),
             Correlator::Real(r) => r.forward_fft(img),
-            Correlator::Padded(p) => p.forward_fft(img),
         }
     }
 
@@ -332,7 +268,6 @@ impl Correlator {
         match self {
             Correlator::Complex(c) => c.displacement_oriented(fa, fb, img_a, img_b, kind),
             Correlator::Real(r) => r.displacement_oriented(fa, fb, img_a, img_b, kind),
-            Correlator::Padded(p) => p.displacement_oriented(fa, fb, img_a, img_b, kind),
         }
     }
 }
@@ -420,16 +355,5 @@ mod tests {
         }
         assert_eq!((results[0].x, results[0].y), (results[1].x, results[1].y));
         assert_eq!((results[0].x, results[0].y), (44, 1));
-    }
-
-    #[test]
-    fn top_real_peaks_suppression() {
-        let mut data = vec![0.0; 100]; // 10x10
-        data[5 * 10 + 5] = 10.0;
-        data[5 * 10 + 6] = 9.0; // within radius — suppressed
-        data[10 + 1] = 8.0;
-        let peaks = top_real_peaks(&data, 10, 3);
-        assert_eq!(peaks[0].0, 55);
-        assert_eq!(peaks[1].0, 11);
     }
 }

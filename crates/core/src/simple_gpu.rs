@@ -21,10 +21,10 @@ use stitch_trace::TraceHandle;
 use crate::fault::{FailurePolicy, FaultTracker, StitchError};
 use crate::grid::Traversal;
 use crate::opcount::OpCounters;
-use crate::pciam::{resolve_peaks_oriented_into, DEFAULT_PEAK_COUNT};
+use crate::pciam::{PairScratch, DEFAULT_PEAK_COUNT};
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
-use crate::types::{Displacement, PairKind, TileId};
+use crate::types::{PairKind, TileId};
 
 /// The synchronous single-stream GPU stitcher.
 pub struct SimpleGpuStitcher {
@@ -109,8 +109,7 @@ impl Stitcher for SimpleGpuStitcher {
         // h2d below means the upload buffer is unique again right after
         // each synchronize, so one allocation serves every tile
         let mut upload: Arc<Vec<u16>> = Arc::new(vec![0u16; n]);
-        let mut indices: Vec<usize> = Vec::with_capacity(DEFAULT_PEAK_COUNT);
-        let mut scored: Vec<(f64, Displacement)> = Vec::new();
+        let mut pair = PairScratch::default();
 
         let neighbors = |id: TileId| {
             [
@@ -205,18 +204,9 @@ impl Stitcher for SimpleGpuStitcher {
                         .wait();
                     counters.count_max_reduction();
                     // CCF disambiguation on the CPU (host images)
-                    indices.clear();
-                    indices.extend(peaks.iter().map(|p| p.index));
-                    let d = resolve_peaks_oriented_into(
-                        &indices,
-                        w,
-                        h,
-                        &ta.img,
-                        &tb.img,
-                        Some(kind),
-                        &mut scored,
-                    );
-                    counters.count_ccf_group();
+                    pair.peaks.clear();
+                    pair.peaks.extend(peaks.iter().map(|p| (p.index, p.value)));
+                    let d = pair.resolve((w, h), &ta.img, &tb.img, Some(kind), &counters);
                     let slot = shape.index(b);
                     match kind {
                         PairKind::West => result.west[slot] = Some(d),

@@ -20,6 +20,8 @@
 //!   lane-unrolled portable, and explicit AVX2 implementations of the
 //!   phase-1 hot loops behind one [`ComputeBackend`] trait, chosen per
 //!   process via `--backend` / `STITCH_BACKEND` / CPU feature detection;
+//! * top-K correlation-peak extraction shared by every transform path
+//!   ([`peaks`]);
 //! * size utilities for the padding ablation ([`factor::next_smooth`]).
 //!
 //! Conventions: forward kernel `e^{-2πi jk/n}`, unscaled in both directions
@@ -40,6 +42,7 @@ pub mod bluestein;
 pub mod complex;
 pub mod factor;
 pub mod fft2d;
+pub mod peaks;
 pub mod plan;
 pub mod radix;
 pub mod real;

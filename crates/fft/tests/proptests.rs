@@ -1,11 +1,12 @@
 //! Property-based tests for the FFT substrate: round-trip identity,
 //! Parseval energy conservation, linearity, shift theorem, and agreement
-//! between all plan kinds — over arbitrary lengths including primes.
+//! between all plan kinds — over arbitrary lengths including primes —
+//! plus the ordering and suppression contract of top-K peak extraction.
 
 use proptest::prelude::*;
 use stitch_fft::{
-    c64, dft_naive, fft_forward, fft_inverse, BluesteinPlan, Direction, Fft2d, MixedRadixPlan,
-    Planner, RealFft, C64,
+    c64, dft_naive, fft_forward, fft_inverse, peaks, BluesteinPlan, Direction, Fft2d,
+    MixedRadixPlan, Planner, RealFft, C64,
 };
 
 fn max_err(a: &[C64], b: &[C64]) -> f64 {
@@ -225,6 +226,28 @@ proptest! {
         let spec = fft_forward(&x);
         for j in 1..n {
             prop_assert!((spec[n - j] - spec[j].conj()).abs() < 1e-6);
+        }
+    }
+
+    /// Top-k peaks are sorted descending and suppression-consistent.
+    #[test]
+    fn top_peaks_sorted_and_distinct(seed in 0u64..5000, k in 1usize..8) {
+        let (w, h) = (24usize, 16usize);
+        let host: Vec<C64> = (0..w * h)
+            .map(|i| {
+                let v = (i as u64).wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(seed);
+                c64(((v >> 16) % 1000) as f64, ((v >> 40) % 1000) as f64)
+            })
+            .collect();
+        let peaks = peaks::top_k(&host, w, k, |v| v.norm_sqr());
+        prop_assert!(!peaks.is_empty() && peaks.len() <= k);
+        let r = peaks::PEAK_SUPPRESSION_RADIUS as i64;
+        for pair in peaks.windows(2) {
+            prop_assert!(pair[0].1 >= pair[1].1, "descending order");
+            // suppression: no two peaks within the Chebyshev radius
+            let (x0, y0) = ((pair[0].0 % w) as i64, (pair[0].0 / w) as i64);
+            let (x1, y1) = ((pair[1].0 % w) as i64, (pair[1].0 / w) as i64);
+            prop_assert!((x0 - x1).abs() > r || (y0 - y1).abs() > r);
         }
     }
 }

@@ -6,7 +6,7 @@
 //! only its index scalar ("minimizes transfers from device to host memory
 //! by only copying the result of the parallel reduction").
 
-use stitch_fft::{Direction, Fft2d, C64};
+use stitch_fft::{peaks, Direction, Fft2d, C64};
 
 use crate::memory::DeviceBuffer;
 use crate::profile::SpanKind;
@@ -100,7 +100,8 @@ impl Stream {
 
     /// Kernel + copy-back: top-`k` |·| maxima over `buf[..len]` viewed as a
     /// row-major image of width `width`, suppressing maxima within a small
-    /// Chebyshev radius of a stronger one. Only the tiny `(index, value)`
+    /// Chebyshev radius of a stronger one (the host's shared
+    /// [`stitch_fft::peaks`] extractor, run in the kernel). Only the tiny `(index, value)`
     /// list crosses back to the host — the same "copy only the reduction
     /// result" discipline as [`Stream::max_abs_index`].
     pub fn top_abs_peaks(
@@ -115,40 +116,13 @@ impl Stream {
         let (tx, fut) = HostFuture::pair();
         self.launch("top_peaks", move |tok| {
             let out = buf.map(tok, |d| {
-                // gather generously, then suppress near-duplicates
-                let gather = (4 * k).max(16);
-                let mut cand: Vec<(usize, f64)> = Vec::with_capacity(gather + 1);
-                let mut floor = f64::MIN;
-                for (i, v) in d[..len].iter().enumerate() {
-                    let m = v.norm_sqr();
-                    if m <= floor {
-                        continue;
-                    }
-                    let pos = cand.partition_point(|&(_, cm)| cm >= m);
-                    cand.insert(pos, (i, m));
-                    if cand.len() > gather {
-                        cand.pop();
-                        floor = cand.last().unwrap().1;
-                    }
-                }
-                let mut peaks: Vec<MaxLoc> = Vec::with_capacity(k);
-                'cands: for (i, m) in cand {
-                    let (x, y) = ((i % width) as i64, (i / width) as i64);
-                    for p in &peaks {
-                        let (px, py) = ((p.index % width) as i64, (p.index / width) as i64);
-                        if (x - px).abs() <= 2 && (y - py).abs() <= 2 {
-                            continue 'cands;
-                        }
-                    }
-                    peaks.push(MaxLoc {
-                        index: i,
+                peaks::top_k(&d[..len], width, k, |v| v.norm_sqr())
+                    .into_iter()
+                    .map(|(index, m)| MaxLoc {
+                        index,
                         value: m.sqrt(),
-                    });
-                    if peaks.len() == k {
-                        break;
-                    }
-                }
-                peaks
+                    })
+                    .collect::<Vec<_>>()
             });
             let _ = tx.send(out);
         });

@@ -110,29 +110,4 @@ proptest! {
         let got = s.d2h(&buf).wait()[0];
         prop_assert_eq!(got, expected);
     }
-
-    /// Top-k peaks are sorted descending and suppression-consistent.
-    #[test]
-    fn top_peaks_sorted_and_distinct(seed in 0u64..5000, k in 1usize..8) {
-        let (w, h) = (24usize, 16usize);
-        let dev = device(16 << 20);
-        let s = dev.create_stream("t");
-        let host: Vec<stitch_fft::C64> = (0..w * h)
-            .map(|i| {
-                let v = (i as u64).wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(seed);
-                stitch_fft::c64(((v >> 16) % 1000) as f64, ((v >> 40) % 1000) as f64)
-            })
-            .collect();
-        let buf = dev.alloc::<stitch_fft::C64>(w * h).unwrap();
-        s.h2d(Arc::new(host), &buf);
-        let peaks = s.top_abs_peaks(&buf, w * h, w, k).wait();
-        prop_assert!(!peaks.is_empty() && peaks.len() <= k);
-        for pair in peaks.windows(2) {
-            prop_assert!(pair[0].value >= pair[1].value, "descending order");
-            // suppression: no two peaks within Chebyshev distance 2
-            let (x0, y0) = ((pair[0].index % w) as i64, (pair[0].index / w) as i64);
-            let (x1, y1) = ((pair[1].index % w) as i64, (pair[1].index / w) as i64);
-            prop_assert!((x0 - x1).abs() > 2 || (y0 - y1).abs() > 2);
-        }
-    }
 }

@@ -32,6 +32,10 @@ struct PoolInner {
     in_flight: AtomicUsize,
     panicked: AtomicU64,
     completed: AtomicU64,
+    /// Test-only hook run by a worker between its predicate checks and
+    /// its wait, with the queue lock held.
+    #[cfg(test)]
+    before_wait: Mutex<Option<Task>>,
 }
 
 /// A fixed set of worker threads executing submitted closures in FIFO
@@ -52,6 +56,8 @@ impl WorkerPool {
             in_flight: AtomicUsize::new(0),
             panicked: AtomicU64::new(0),
             completed: AtomicU64::new(0),
+            #[cfg(test)]
+            before_wait: Mutex::new(None),
         });
         let workers = (0..threads)
             .map(|i| {
@@ -133,7 +139,13 @@ impl Drop for WorkerPool {
     /// Stops accepting work, runs everything already queued, joins the
     /// workers.
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
+        // Flipped under the queue lock: a worker checks the flag and
+        // then waits while holding it, so an unlocked store + notify
+        // could land in between and leave that worker asleep forever.
+        {
+            let _q = self.inner.queue.lock();
+            self.inner.shutdown.store(true, Ordering::Release);
+        }
         self.inner.available.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -151,6 +163,10 @@ fn worker_loop(inner: &PoolInner) {
                 }
                 if inner.shutdown.load(Ordering::Acquire) {
                     return;
+                }
+                #[cfg(test)]
+                if let Some(hook) = inner.before_wait.lock().take() {
+                    hook();
                 }
                 inner.available.wait(&mut q);
             }
@@ -174,6 +190,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn executes_all_tasks_across_workers() {
@@ -232,5 +249,41 @@ mod tests {
         producer.join().unwrap();
         drop(pool);
         assert_eq!(total.load(Ordering::Relaxed), 55);
+    }
+
+    #[test]
+    fn shutdown_in_the_worker_wait_window_is_not_lost() {
+        let pool = WorkerPool::new(1);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        pool.execute(move || {
+            started_tx.send(()).unwrap();
+            let _ = go_rx.recv();
+        });
+        started_rx.recv().unwrap();
+        // the worker is busy, so its next wait is the first to run the hook
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        *pool.inner.before_wait.lock() = Some(Box::new(move || {
+            parked_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+        }));
+        go_tx.send(()).unwrap();
+        parked_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("worker never reached its wait");
+        let (dropped_tx, dropped_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            drop(pool);
+            let _ = dropped_tx.send(());
+        });
+        // A drop that takes the queue lock cannot finish while the worker
+        // is parked holding it; release after it returns or 100 ms pass.
+        let early = dropped_rx.recv_timeout(Duration::from_millis(100)).is_ok();
+        release_tx.send(()).unwrap();
+        assert!(
+            early || dropped_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "shutdown lost: the worker slept through the pool's drop"
+        );
     }
 }

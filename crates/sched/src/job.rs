@@ -395,7 +395,7 @@ impl JobHandle {
     /// lease it holds. Idempotent; racing a natural completion is fine
     /// (the job just completes).
     pub fn cancel(&self) {
-        self.shared.cancel.store(true, Ordering::Release);
+        self.signal_cancel();
         if let Some(hook) = self.shared.wake_hook.lock().as_ref() {
             hook();
         }
@@ -437,11 +437,17 @@ impl JobHandle {
         self.shared.cancel.load(Ordering::Acquire)
     }
 
-    /// Watchdog-flavored cancellation: like [`JobHandle::cancel`], but
-    /// the terminal status becomes [`JobStatus::TimedOut`].
-    pub(crate) fn cancel_timeout(&self) {
+    /// Sets the cancel flag without running the wake hook, for callers
+    /// that already hold the scheduler's queue lock (the hook takes it).
+    pub(crate) fn signal_cancel(&self) {
+        self.shared.cancel.store(true, Ordering::Release);
+    }
+
+    /// Watchdog-flavored [`JobHandle::signal_cancel`]: the terminal
+    /// status becomes [`JobStatus::TimedOut`].
+    pub(crate) fn signal_timeout(&self) {
         self.shared.timed_out.store(true, Ordering::Release);
-        self.cancel();
+        self.signal_cancel();
     }
 
     /// The status a cancellation should resolve to: `TimedOut` when the

@@ -202,6 +202,10 @@ struct QueueState {
     running: usize,
     running_jobs: Vec<RunningJob>,
     dispatch_log: Vec<String>,
+    /// Guarded by the queue lock, not an atomic: the dispatcher reads it
+    /// and then waits under the lock, so a resume must flip it under the
+    /// lock too or its wakeup can land in between and be lost.
+    paused: bool,
 }
 
 struct SchedInner {
@@ -214,7 +218,8 @@ struct SchedInner {
     wake: Condvar,
     shutdown: AtomicBool,
     draining: AtomicBool,
-    paused: AtomicBool,
+    #[cfg(test)]
+    wait_gate: WaitGate,
 }
 
 /// The multi-job scheduler. Dropping it drains every queued and running
@@ -244,11 +249,13 @@ impl Scheduler {
                 running: 0,
                 running_jobs: Vec::new(),
                 dispatch_log: Vec::new(),
+                paused: false,
             }),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            paused: AtomicBool::new(false),
+            #[cfg(test)]
+            wait_gate: WaitGate::default(),
         });
         let pool = WorkerPool::new(workers);
         let dispatcher = {
@@ -295,12 +302,12 @@ impl Scheduler {
     /// jobs wait, running jobs continue. Lets tests submit a batch
     /// atomically before any dispatch order is decided.
     pub fn pause(&self) {
-        self.inner.paused.store(true, Ordering::Release);
+        self.inner.queue.lock().paused = true;
     }
 
     /// Resumes dispatching after [`Scheduler::pause`].
     pub fn resume(&self) {
-        self.inner.paused.store(false, Ordering::Release);
+        self.inner.queue.lock().paused = false;
         self.inner.wake.notify_all();
     }
 
@@ -363,8 +370,14 @@ impl Scheduler {
         }
         let handle = JobHandle::new(&job.name);
         {
+            // The hook runs on a cancelling thread: taking the queue lock
+            // before notifying means the dispatcher is either already
+            // waiting (and gets the notify) or has yet to check the flag.
             let inner = Arc::clone(&self.inner);
-            handle.set_wake_hook(move || inner.wake.notify_all());
+            handle.set_wake_hook(move || {
+                drop(inner.queue.lock());
+                inner.wake.notify_all();
+            });
         }
         if job.preview {
             // Installed before the job is queued so the caller can start
@@ -406,20 +419,22 @@ impl Scheduler {
     /// Idempotent; concurrent drains all block until the queue is empty.
     pub fn drain(&self, policy: DrainPolicy) -> DrainReport {
         let t0 = Instant::now();
-        self.inner.draining.store(true, Ordering::Release);
         let mut cancelled_queued = 0;
         let mut signalled_running = 0;
         {
+            // Flags flip under the queue lock (the wake hook would take
+            // it again), and the notify below follows the unlock.
             let q = self.inner.queue.lock();
+            self.inner.draining.store(true, Ordering::Release);
             if matches!(policy, DrainPolicy::CancelPending | DrainPolicy::CancelAll) {
                 for p in &q.pending {
-                    p.handle.cancel();
+                    p.handle.signal_cancel();
                     cancelled_queued += 1;
                 }
             }
             if matches!(policy, DrainPolicy::CancelAll) {
                 for r in &q.running_jobs {
-                    r.handle.cancel();
+                    r.handle.signal_cancel();
                     signalled_running += 1;
                 }
             }
@@ -443,8 +458,11 @@ impl Drop for Scheduler {
     fn drop(&mut self) {
         // Drain: the dispatcher keeps dispatching until the queue is
         // empty, then exits; dropping the pool joins the running jobs.
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.paused.store(false, Ordering::Release);
+        {
+            let mut q = self.inner.queue.lock();
+            self.inner.shutdown.store(true, Ordering::Release);
+            q.paused = false;
+        }
         self.inner.wake.notify_all();
         if let Some(d) = self.dispatcher.take() {
             let _ = d.join();
@@ -484,7 +502,7 @@ fn dispatcher_loop(inner: &Arc<SchedInner>, pool: &PoolSubmitter) {
         // is harmless; the entry leaves the list when its guard drops.
         for r in &q.running_jobs {
             if r.watchdog.is_some_and(|wd| r.started.elapsed() >= wd) {
-                r.handle.cancel_timeout();
+                r.handle.signal_timeout();
             }
         }
 
@@ -499,7 +517,7 @@ fn dispatcher_loop(inner: &Arc<SchedInner>, pool: &PoolSubmitter) {
         }
 
         let mut dispatched = false;
-        if !inner.paused.load(Ordering::Acquire) && q.running < inner.workers {
+        if !q.paused && q.running < inner.workers {
             // Stride pick: lowest class pass wins; ties prefer heavier
             // weight, then submission order. Skip jobs whose reservation
             // does not currently fit (they stay queued).
@@ -551,7 +569,11 @@ fn dispatcher_loop(inner: &Arc<SchedInner>, pool: &PoolSubmitter) {
         if !dispatched {
             // Nothing admissible right now: sleep until a submit,
             // cancel, resume, job completion, or shutdown pokes us — or
-            // until the next watchdog deadline needs a scan.
+            // until the next watchdog deadline needs a scan. Every poke
+            // changes its predicate under the queue lock, which is held
+            // from the checks above to the wait below.
+            #[cfg(test)]
+            inner.wait_gate.park(!q.pending.is_empty());
             let next_watchdog = q
                 .running_jobs
                 .iter()
@@ -800,6 +822,54 @@ fn build_stitcher(
                 .with_trace(trace.clone()),
             )
         }
+    }
+}
+
+/// Test-only hook that parks the dispatcher between its predicate checks
+/// and its wait — still holding the queue lock — so a test can land a
+/// poke exactly inside the window where an unlocked notify is lost.
+#[cfg(test)]
+#[derive(Default)]
+struct WaitGate {
+    /// `(armed, parked, released)`.
+    state: std::sync::Mutex<(bool, bool, bool)>,
+    cv: std::sync::Condvar,
+}
+
+#[cfg(test)]
+impl WaitGate {
+    /// Parks the next dispatcher pass that is about to wait with a job
+    /// queued.
+    fn arm(&self) {
+        *self.state.lock().unwrap() = (true, false, false);
+    }
+
+    /// Dispatcher side: one-shot park until [`WaitGate::release`].
+    fn park(&self, pending: bool) {
+        let mut st = self.state.lock().unwrap();
+        if !st.0 || !pending {
+            return;
+        }
+        *st = (false, true, false);
+        self.cv.notify_all();
+        while !st.2 {
+            st = self.cv.wait(st).unwrap();
+        }
+    }
+
+    fn await_parked(&self) {
+        let st = self.state.lock().unwrap();
+        let (st, timeout) = self
+            .cv
+            .wait_timeout_while(st, Duration::from_secs(10), |st| !st.1)
+            .unwrap();
+        assert!(!timeout.timed_out(), "dispatcher never reached its wait");
+        drop(st);
+    }
+
+    fn release(&self) {
+        self.state.lock().unwrap().2 = true;
+        self.cv.notify_all();
     }
 }
 
@@ -1077,5 +1147,74 @@ mod tests {
         let out = h.wait();
         assert_eq!(out.status, JobStatus::Expired);
         assert!(sched.dispatch_order().is_empty());
+    }
+
+    /// Runs `poke` on its own thread while the dispatcher is parked in its
+    /// check-then-wait window, then releases the dispatcher once `poke`
+    /// returns or 100 ms pass, whichever is first (a poke that takes the
+    /// queue lock cannot return while the dispatcher holds it). Helper
+    /// threads are detached on purpose: joining one stuck on a lost
+    /// wakeup would hang the test instead of failing it.
+    fn poke_in_wait_window(inner: &SchedInner, poke: impl FnOnce() + Send + 'static) {
+        inner.wait_gate.await_parked();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            poke();
+            let _ = tx.send(());
+        });
+        let _ = rx.recv_timeout(Duration::from_millis(100));
+        inner.wait_gate.release();
+    }
+
+    /// The job's outcome, or `None` if it is not terminal within 5 s —
+    /// a lost wakeup fails the test instead of hanging it.
+    fn outcome_within_5s(h: &JobHandle) -> Option<JobOutcome> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let h = h.clone_internal();
+        std::thread::spawn(move || {
+            let _ = tx.send(h.wait());
+        });
+        rx.recv_timeout(Duration::from_secs(5)).ok()
+    }
+
+    /// A paused scheduler with one queued job and its dispatcher armed
+    /// to park before its next wait.
+    fn parked_with_one_queued() -> (Scheduler, JobHandle) {
+        let sched = Scheduler::new(SchedulerConfig {
+            workers: 1,
+            ..SchedulerConfig::default()
+        });
+        sched.pause();
+        sched.inner.wait_gate.arm();
+        let h = sched.submit(tiny("queued")).unwrap();
+        (sched, h)
+    }
+
+    #[test]
+    fn lost_wakeup_resume_in_wait_window() {
+        let (sched, h) = parked_with_one_queued();
+        let sched = Arc::new(sched);
+        let poker = Arc::clone(&sched);
+        poke_in_wait_window(&sched.inner, move || poker.resume());
+        let out = outcome_within_5s(&h).expect("resume lost: the queued job never dispatched");
+        assert_eq!(out.status, JobStatus::Completed);
+    }
+
+    #[test]
+    fn lost_wakeup_cancel_in_wait_window() {
+        let (sched, h) = parked_with_one_queued();
+        let poker = h.clone_internal();
+        poke_in_wait_window(&sched.inner, move || poker.cancel());
+        let out = outcome_within_5s(&h).expect("cancel lost: the queued job was never finalized");
+        assert_eq!(out.status, JobStatus::Cancelled);
+    }
+
+    #[test]
+    fn lost_wakeup_shutdown_in_wait_window() {
+        let (sched, h) = parked_with_one_queued();
+        let inner = Arc::clone(&sched.inner);
+        poke_in_wait_window(&inner, move || drop(sched));
+        let out = outcome_within_5s(&h).expect("shutdown lost: the dispatcher never drained");
+        assert_eq!(out.status, JobStatus::Completed);
     }
 }

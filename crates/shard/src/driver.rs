@@ -1,5 +1,5 @@
 //! The sharded stitching driver: shards-as-scheduler-jobs, seam merge,
-//! hierarchical re-anchoring, and out-of-core banded composition.
+//! the global solve, and out-of-core banded composition.
 
 use std::fmt;
 use std::sync::Arc;
@@ -16,7 +16,7 @@ use stitch_sched::{
 };
 use stitch_trace::TraceHandle;
 
-use crate::merge::{merge_results, register_seams, solve_hierarchical, HierarchicalSolve};
+use crate::merge::{merge_results, register_seams};
 use crate::plan::ShardPlan;
 
 /// Configuration for [`stitch_sharded`].
@@ -83,11 +83,6 @@ pub struct ShardOutcome {
     /// Committed absolute positions: the standard optimizer run on the
     /// merged graph (bit-identical to the unsharded solve).
     pub positions: AbsolutePositions,
-    /// The hierarchical (anchor-based) solve — provisional frame + audit.
-    pub hierarchical: HierarchicalSolve,
-    /// Max per-axis deviation of the hierarchical frame from the
-    /// committed positions (the consistency audit).
-    pub hierarchical_deviation: (i64, i64),
     /// Composed mosaic, when requested and collected.
     pub mosaic: Option<Image<u16>>,
     /// Shards the plan produced.
@@ -298,32 +293,15 @@ fn run_sharded(
         }
     };
 
-    // Merge, then both solves.
+    // Merge, then the global solve.
     let mut merged = {
         let _span = trace.scope("shard/merge", "compute", "merge shard results");
         merge_results(&plan, &results, &seams)
     };
-    let (positions, hierarchical) = {
-        let _span = trace.scope("shard/merge", "compute", "global + hierarchical solve");
-        let locals: Vec<AbsolutePositions> = results
-            .iter()
-            .map(|(_, r)| config.optimizer.solve(r))
-            .collect();
-        let hierarchical = solve_hierarchical(
-            &plan,
-            &locals,
-            &seams,
-            &config.optimizer,
-            source.tile_dims(),
-        );
-        let positions = config.optimizer.solve(&merged);
-        (positions, hierarchical)
+    let positions = {
+        let _span = trace.scope("shard/merge", "compute", "global solve");
+        config.optimizer.solve(&merged)
     };
-    let hierarchical_deviation = hierarchical.positions.max_deviation(&positions.positions);
-    trace.set_gauge(
-        "shard/hierarchical_deviation_px",
-        hierarchical_deviation.0.max(hierarchical_deviation.1) as f64,
-    );
 
     // Out-of-core composition: full-width bands, bounded by band_rows.
     let mut max_band_bytes = 0usize;
@@ -343,8 +321,6 @@ fn run_sharded(
     Ok(ShardOutcome {
         result: merged,
         positions,
-        hierarchical,
-        hierarchical_deviation,
         mosaic: None,
         shard_count: shards.len(),
         seam_pairs: seams.displacements.len(),

@@ -20,8 +20,7 @@
 //!    ([`merge_results`]); the committed positions come from the
 //!    standard [`GlobalOptimizer`](stitch_core::GlobalOptimizer) on
 //!    that graph and are therefore **bit-identical to the unsharded
-//!    solve**. A hierarchical anchor solve ([`solve_hierarchical`])
-//!    provides the provisional streaming frame and a consistency audit.
+//!    solve**.
 //! 4. **Banded composition** — the mosaic streams out in bounded
 //!    full-width row bands
 //!    ([`Composer::compose_bands`](stitch_core::Composer::compose_bands)),
@@ -44,9 +43,7 @@ pub use driver::{
     stitch_sharded, stitch_sharded_into_canvas, stitch_sharded_streaming, ShardConfig, ShardError,
     ShardOutcome,
 };
-pub use merge::{
-    merge_results, register_seams, solve_hierarchical, HierarchicalSolve, SeamOutcome,
-};
+pub use merge::{merge_results, register_seams, SeamOutcome};
 pub use plan::{SeamPair, Shard, ShardPlan};
 
 // re-exported for doc links and driver callers

@@ -1,6 +1,6 @@
 //! Merging shard-local results into one full-grid solve.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! 1. [`register_seams`] — phase-1 registration of the pairs that cross
 //!    shard boundaries, with the *same* correlator kernel and settings
@@ -11,21 +11,18 @@
 //! 2. [`merge_results`] — copies shard-local displacements into their
 //!    full-grid slots and adds the seam displacements, reassembling the
 //!    exact pair graph the unsharded run would have produced.
-//! 3. [`solve_hierarchical`] — per-shard local solves plus a weighted
-//!    least-squares solve over *shard anchors* constrained by the seam
-//!    displacements. This is the streaming/provisional frame (each
-//!    shard's tiles are placeable as soon as its local solve and seams
-//!    are in) and a consistency audit for the committed positions; the
-//!    committed positions themselves come from running the standard
-//!    [`GlobalOptimizer`] on the merged full-grid graph, which is what
-//!    makes them bit-identical to the unsharded solve.
+//!
+//! The committed positions come from running the standard
+//! [`GlobalOptimizer`](stitch_core::GlobalOptimizer) on the merged
+//! full-grid graph, which is what makes them bit-identical to the
+//! unsharded solve.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use stitch_core::{
-    AbsolutePositions, Correlator, Displacement, FailurePolicy, FaultTracker, GlobalOptimizer,
-    HealthReport, OpCounters, StitchError, StitchResult, TileSource, TileStatus, TransformKind,
+    Correlator, Displacement, FailurePolicy, FaultTracker, HealthReport, OpCounters, StitchError,
+    StitchResult, TileSource, TileStatus, TransformKind,
 };
 use stitch_fft::Planner;
 use stitch_trace::TraceHandle;
@@ -184,267 +181,5 @@ fn merge_tile_status(into: &mut TileStatus, other: &TileStatus) {
             };
         }
         (_, TileStatus::Ok) => {}
-    }
-}
-
-/// The hierarchical (two-level) solve: shard-local positions re-anchored
-/// into one absolute frame.
-pub struct HierarchicalSolve {
-    /// Per-shard anchor offsets (indexed like `plan.shards()`), before
-    /// normalization.
-    pub anchors: Vec<(f64, f64)>,
-    /// Re-anchored absolute positions, normalized to a `(0, 0)` minimum
-    /// like [`GlobalOptimizer::solve`]'s output.
-    pub positions: AbsolutePositions,
-}
-
-/// Solves shard anchors from seam constraints and re-anchors each
-/// shard's local positions into one frame.
-///
-/// For a seam pair `a → b` with displacement `d` joining shard `i` to
-/// shard `j`, consistency demands
-/// `anchor_j − anchor_i = local_i(a) + d − local_j(b)` per axis. The
-/// over-constrained system is solved by correlation-weighted least
-/// squares (conjugate gradient on the shard-anchor Laplacian, anchor 0
-/// pinned). Note this two-level decomposition is *not* algebraically
-/// identical to the flat least-squares-with-IRLS solve on the merged
-/// graph when measurements disagree — which is why the driver commits
-/// the merged-graph solve and uses this as the provisional streaming
-/// frame plus a consistency audit.
-pub fn solve_hierarchical(
-    plan: &ShardPlan,
-    locals: &[AbsolutePositions],
-    seams: &SeamOutcome,
-    optimizer: &GlobalOptimizer,
-    tile_dims: (usize, usize),
-) -> HierarchicalSolve {
-    let n = plan.shard_count();
-    assert_eq!(locals.len(), n, "one local solve per shard");
-    let shards = plan.shards();
-    // weighted constraints between anchors
-    struct C {
-        i: usize,
-        j: usize,
-        dx: f64,
-        dy: f64,
-        w: f64,
-    }
-    let mut cs: Vec<C> = Vec::new();
-    for (pair, d) in &seams.displacements {
-        if d.correlation < optimizer.min_correlation {
-            continue;
-        }
-        let i = plan.shard_of(pair.a);
-        let j = plan.shard_of(pair.b);
-        let la = locals[i].get(shards[i].to_local(pair.a));
-        let lb = locals[j].get(shards[j].to_local(pair.b));
-        cs.push(C {
-            i,
-            j,
-            dx: (la.0 + d.x - lb.0) as f64,
-            dy: (la.1 + d.y - lb.1) as f64,
-            w: d.correlation.max(1e-3),
-        });
-    }
-    // CG on the anchor Laplacian, anchor 0 pinned at the origin
-    let mut lap = vec![0.0f64; n * n];
-    let mut rhs_x = vec![0.0f64; n];
-    let mut rhs_y = vec![0.0f64; n];
-    for c in &cs {
-        lap[c.i * n + c.i] += c.w;
-        lap[c.j * n + c.j] += c.w;
-        lap[c.i * n + c.j] -= c.w;
-        lap[c.j * n + c.i] -= c.w;
-        rhs_x[c.j] += c.w * c.dx;
-        rhs_x[c.i] -= c.w * c.dx;
-        rhs_y[c.j] += c.w * c.dy;
-        rhs_y[c.i] -= c.w * c.dy;
-    }
-    let solve_axis = |rhs: &[f64]| -> Vec<f64> {
-        let mut x = vec![0.0f64; n];
-        if n <= 1 {
-            return x;
-        }
-        // project out node 0 (pin): solve over indices 1..n
-        let mut r: Vec<f64> = rhs[1..].to_vec();
-        let mut p = r.clone();
-        let mut rs: f64 = r.iter().map(|v| v * v).sum();
-        for _ in 0..optimizer.max_iterations.max(n) {
-            if rs.sqrt() <= optimizer.tolerance {
-                break;
-            }
-            // ap = L[1.., 1..] * p
-            let mut ap = vec![0.0f64; n - 1];
-            for (ri, ap_i) in ap.iter_mut().enumerate() {
-                let row = &lap[(ri + 1) * n..(ri + 2) * n];
-                *ap_i = row[1..]
-                    .iter()
-                    .zip(p.iter())
-                    .map(|(l, pv)| l * pv)
-                    .sum::<f64>();
-            }
-            let denom: f64 = p.iter().zip(ap.iter()).map(|(a, b)| a * b).sum();
-            if denom.abs() < f64::EPSILON {
-                break;
-            }
-            let alpha = rs / denom;
-            for i in 0..n - 1 {
-                x[i + 1] += alpha * p[i];
-                r[i] -= alpha * ap[i];
-            }
-            let rs_new: f64 = r.iter().map(|v| v * v).sum();
-            let beta = rs_new / rs;
-            rs = rs_new;
-            for i in 0..n - 1 {
-                p[i] = r[i] + beta * p[i];
-            }
-        }
-        x
-    };
-    let ax = solve_axis(&rhs_x);
-    let ay = solve_axis(&rhs_y);
-    let mut anchors: Vec<(f64, f64)> = ax.into_iter().zip(ay).collect();
-    // shards with no usable seam constraint to the pinned component sit
-    // at the origin in the CG solution; place them at their nominal
-    // raster offset (default 25% overlap) so the provisional frame stays
-    // renderable even with a severed seam
-    let mut placed = vec![false; n];
-    placed[0] = true;
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for c in &cs {
-        adj[c.i].push(c.j);
-        adj[c.j].push(c.i);
-    }
-    let mut queue = std::collections::VecDeque::from([0usize]);
-    while let Some(u) = queue.pop_front() {
-        for &v in &adj[u] {
-            if !placed[v] {
-                placed[v] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    let (tw, th) = tile_dims;
-    let (step_x, step_y) = (tw as f64 * 0.75, th as f64 * 0.75);
-    for (s, anchor) in anchors.iter_mut().enumerate() {
-        if !placed[s] {
-            *anchor = (
-                shards[s].col0 as f64 * step_x,
-                shards[s].row0 as f64 * step_y,
-            );
-        }
-    }
-    // re-anchor: global tile position = shard anchor + local position
-    let mut positions = vec![(0i64, 0i64); plan.grid.tiles()];
-    for (s, shard) in shards.iter().enumerate() {
-        for local_id in shard.shape.ids() {
-            let (lx, ly) = locals[s].get(local_id);
-            let g = plan.grid.index(shard.to_global(local_id));
-            positions[g] = (
-                (anchors[s].0 + lx as f64).round() as i64,
-                (anchors[s].1 + ly as f64).round() as i64,
-            );
-        }
-    }
-    let min_x = positions.iter().map(|p| p.0).min().unwrap_or(0);
-    let min_y = positions.iter().map(|p| p.1).min().unwrap_or(0);
-    for p in &mut positions {
-        p.0 -= min_x;
-        p.1 -= min_y;
-    }
-    HierarchicalSolve {
-        anchors,
-        positions: AbsolutePositions {
-            shape: plan.grid,
-            positions,
-        },
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use stitch_core::{GridShape, PairKind, TileId};
-
-    /// Hand-builds a consistent two-shard world and checks the anchor
-    /// solve recovers the exact offset between the shards.
-    #[test]
-    fn anchor_solve_recovers_exact_offsets() {
-        let grid = GridShape::new(2, 4);
-        let plan = ShardPlan::new(grid, 2, 2).unwrap();
-        let shards = plan.shards();
-        assert_eq!(shards.len(), 2);
-        // each shard's local solve: a clean 50x40 raster
-        let local = |shape: GridShape| AbsolutePositions {
-            shape,
-            positions: shape
-                .ids()
-                .map(|id| (id.col as i64 * 50, id.row as i64 * 40))
-                .collect(),
-        };
-        let locals = vec![local(shards[0].shape), local(shards[1].shape)];
-        // two seam pairs between col 1 and col 2, both implying that the
-        // right shard starts 100 px right of the left shard's origin
-        let seams = SeamOutcome {
-            displacements: vec![
-                (
-                    SeamPair {
-                        a: TileId::new(0, 1),
-                        b: TileId::new(0, 2),
-                        kind: PairKind::West,
-                    },
-                    Displacement::new(50, 0, 0.9),
-                ),
-                (
-                    SeamPair {
-                        a: TileId::new(1, 1),
-                        b: TileId::new(1, 2),
-                        kind: PairKind::West,
-                    },
-                    Displacement::new(50, 0, 0.9),
-                ),
-            ],
-            health: HealthReport::new(grid),
-        };
-        let h = solve_hierarchical(
-            &plan,
-            &locals,
-            &seams,
-            &GlobalOptimizer::default(),
-            (64, 48),
-        );
-        let expect: Vec<(i64, i64)> = grid
-            .ids()
-            .map(|id| (id.col as i64 * 50, id.row as i64 * 40))
-            .collect();
-        assert_eq!(h.positions.positions, expect);
-    }
-
-    /// A shard with every seam severed gets the nominal-raster fallback
-    /// instead of collapsing onto the origin.
-    #[test]
-    fn disconnected_shard_falls_back_to_nominal_raster() {
-        let grid = GridShape::new(1, 4);
-        let plan = ShardPlan::new(grid, 1, 2).unwrap();
-        let shards = plan.shards();
-        let local = |shape: GridShape| AbsolutePositions {
-            shape,
-            positions: shape.ids().map(|id| (id.col as i64 * 48, 0)).collect(),
-        };
-        let locals = vec![local(shards[0].shape), local(shards[1].shape)];
-        let seams = SeamOutcome {
-            displacements: Vec::new(),
-            health: HealthReport::new(grid),
-        };
-        let h = solve_hierarchical(
-            &plan,
-            &locals,
-            &seams,
-            &GlobalOptimizer::default(),
-            (64, 48),
-        );
-        // right shard anchored at col0 * 64 * 0.75 = 2 * 48 = 96
-        assert_eq!(h.anchors[1], (96.0, 0.0));
-        assert_eq!(h.positions.get(TileId::new(0, 2)), (96, 0));
     }
 }

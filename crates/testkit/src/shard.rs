@@ -224,15 +224,6 @@ pub fn run_shard_differential(seed: u64) -> ShardReport {
                 detail: "sharded run produced no mosaic".to_string(),
             }),
         }
-        // the hierarchical frame is an audit, not the committed answer:
-        // on a clean, consistent plate it must agree to within a pixel
-        let (dx, dy) = sharded.hierarchical_deviation;
-        if dx > 1 || dy > 1 {
-            mismatches.push(ShardMismatch {
-                label: label.clone(),
-                detail: format!("hierarchical frame drifts ({dx}, {dy}) px from committed"),
-            });
-        }
         if sharded.leaked_reservations != 0 || sharded.leaked_spectra != 0 {
             mismatches.push(ShardMismatch {
                 label: label.clone(),

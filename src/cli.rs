@@ -971,10 +971,6 @@ pub fn run(cmd: Command) -> i32 {
                 outcome.elapsed,
                 outcome.high_water as f64 / (1 << 20) as f64,
             );
-            println!(
-                "hierarchical frame agrees with committed solve to ({}, {}) px",
-                outcome.hierarchical_deviation.0, outcome.hierarchical_deviation.1
-            );
             if let Some(path) = positions_out {
                 let mut tsv = String::from("row\tcol\tx\ty\n");
                 for id in outcome.result.shape.ids() {

@@ -53,8 +53,12 @@ fn all_backends_bit_identical_across_sweep() {
 /// the measured iterations performed on this thread. Mirrors the
 /// conformance suite's probe; the warmup also absorbs the backend
 /// module's one-time `STITCH_BACKEND` environment read.
-fn steady_state_pair_allocations(kind: TransformKind, warmup: usize, pairs: usize) -> u64 {
-    let (w, h) = (64usize, 48usize);
+fn steady_state_pair_allocations(
+    kind: TransformKind,
+    (w, h): (usize, usize),
+    warmup: usize,
+    pairs: usize,
+) -> u64 {
     let scene = Scene::generate(
         w as f64 * 3.0,
         h as f64 * 3.0,
@@ -92,8 +96,13 @@ fn every_backend_is_allocation_free_in_steady_state() {
     for choice in choices() {
         backend::select(choice);
         let name = backend::resolved_name(choice);
-        for kind in [TransformKind::Complex, TransformKind::Real] {
-            let allocs = steady_state_pair_allocations(kind, 3, 5);
+        // 58×41 pads to 60×42, so the padded case runs the mean-fill copy
+        for (kind, dims) in [
+            (TransformKind::Complex, (64, 48)),
+            (TransformKind::Real, (64, 48)),
+            (TransformKind::PaddedComplex, (58, 41)),
+        ] {
+            let allocs = steady_state_pair_allocations(kind, dims, 3, 5);
             assert_eq!(
                 allocs, 0,
                 "backend {name} / {kind:?}: steady-state pair computation \

@@ -24,8 +24,12 @@ static ALLOC: CountingAllocator = CountingAllocator::new();
 /// inverse + peaks + CCF refine) after `warmup` of the same, returning
 /// the number of heap allocations the measured iterations performed on
 /// this thread.
-fn steady_state_pair_allocations(kind: TransformKind, warmup: usize, pairs: usize) -> u64 {
-    let (w, h) = (64usize, 48usize);
+fn steady_state_pair_allocations(
+    kind: TransformKind,
+    (w, h): (usize, usize),
+    warmup: usize,
+    pairs: usize,
+) -> u64 {
     let scene = Scene::generate(
         w as f64 * 3.0,
         h as f64 * 3.0,
@@ -60,8 +64,13 @@ fn steady_state_pair_allocations(kind: TransformKind, warmup: usize, pairs: usiz
 
 #[test]
 fn steady_state_pair_computation_is_allocation_free() {
-    for kind in [TransformKind::Complex, TransformKind::Real] {
-        let allocs = steady_state_pair_allocations(kind, 3, 5);
+    // 58×41 pads to 60×42, so the padded case runs the mean-fill copy
+    for (kind, dims) in [
+        (TransformKind::Complex, (64, 48)),
+        (TransformKind::Real, (64, 48)),
+        (TransformKind::PaddedComplex, (58, 41)),
+    ] {
+        let allocs = steady_state_pair_allocations(kind, dims, 3, 5);
         assert_eq!(
             allocs, 0,
             "{kind:?}: steady-state pair computation allocated {allocs} times"
