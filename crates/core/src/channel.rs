@@ -470,24 +470,26 @@ impl ChannelSession {
             .units(self.source.channels(), self.source.z_planes())
     }
 
-    /// The single-grid source registration reads: the reference channel's
-    /// registration plane ([`ZMode::Stack`]) or max-z projection
-    /// ([`ZMode::MaxProject`]), flat-field corrected per the plan.
-    pub fn registration_source(&self) -> Arc<dyn TileSource> {
-        let unit = match self.plan.z_mode {
-            ZMode::Stack => ComposeUnit {
-                channel: self.plan.reference_channel,
-                plane: Some(
+    /// The unit registration reads: the reference channel's registration
+    /// plane ([`ZMode::Stack`]) or max-z projection ([`ZMode::MaxProject`]).
+    pub fn registration_unit(&self) -> ComposeUnit {
+        ComposeUnit {
+            channel: self.plan.reference_channel,
+            plane: match self.plan.z_mode {
+                ZMode::Stack => Some(
                     self.plan
                         .effective_registration_plane(self.source.z_planes()),
                 ),
+                ZMode::MaxProject => None,
             },
-            ZMode::MaxProject => ComposeUnit {
-                channel: self.plan.reference_channel,
-                plane: None,
-            },
-        };
-        self.unit_source(unit)
+        }
+    }
+
+    /// The single-grid source registration reads: the source of
+    /// [`ChannelSession::registration_unit`], flat-field corrected per the
+    /// plan.
+    pub fn registration_source(&self) -> Arc<dyn TileSource> {
+        self.unit_source(self.registration_unit())
     }
 
     /// The single-grid source composing `unit` reads (corrected per the

@@ -31,6 +31,22 @@ pub trait TileSource: Send + Sync {
     fn load(&self, id: TileId) -> Result<Image<u16>, SourceError>;
 }
 
+/// A shared source is a source, so wrappers such as
+/// [`FaultySource`](crate::fault::FaultySource) take `Arc<dyn TileSource>`.
+impl<T: TileSource + ?Sized> TileSource for Arc<T> {
+    fn shape(&self) -> GridShape {
+        (**self).shape()
+    }
+
+    fn tile_dims(&self) -> (usize, usize) {
+        (**self).tile_dims()
+    }
+
+    fn load(&self, id: TileId) -> Result<Image<u16>, SourceError> {
+        (**self).load(id)
+    }
+}
+
 /// Tiles held in memory, row-major.
 #[derive(Debug)]
 pub struct MemorySource {

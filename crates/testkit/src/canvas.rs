@@ -23,6 +23,8 @@ use stitch_image::{ScanConfig, SyntheticPlate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::{fnv_fold, FNV_OFFSET};
+
 /// One incremental-vs-one-shot disagreement.
 #[derive(Clone, Debug)]
 pub struct CanvasMismatch {
@@ -49,14 +51,6 @@ impl CanvasReport {
     pub fn is_clean(&self) -> bool {
         self.mismatches.is_empty()
     }
-}
-
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Seeded Fisher-Yates over the grid's row-major id list.
@@ -97,7 +91,7 @@ pub fn run_canvas_differential(seed: u64) -> CanvasReport {
         (Blend::Overlay, true, "overlay+highlight"),
     ];
     let mut mismatches = Vec::new();
-    let mut digest = 0xcbf29ce484222325u64;
+    let mut digest = FNV_OFFSET;
 
     for (case, &(blend, highlight, name)) in specs.iter().enumerate() {
         let label = format!("{name} seed={seed}");
@@ -232,7 +226,7 @@ pub fn run_canvas_stress(seed: u64) -> CanvasStressOutcome {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xca57);
     let iterations = 4usize;
     let mut fates = Vec::with_capacity(iterations);
-    let mut digest = 0xcbf29ce484222325u64;
+    let mut digest = FNV_OFFSET;
 
     for i in 0..iterations {
         let rows = rng.gen_range(2usize..=3);

@@ -31,6 +31,8 @@ use stitch_sched::{run_channel_batch, ChannelBatchOptions, JobStatus, Scheduler,
 
 use stitch_core::MultiSyntheticSource;
 
+use crate::{fnv_fold, FNV_OFFSET};
+
 /// One replay-identity or accuracy-ordering violation.
 #[derive(Clone, Debug)]
 pub struct ChannelMismatch {
@@ -80,14 +82,6 @@ impl ChannelReport {
     pub fn is_clean(&self) -> bool {
         self.mismatches.is_empty()
     }
-}
-
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 fn digest_mosaic(mut h: u64, m: &Image<u16>) -> u64 {
@@ -200,7 +194,7 @@ const IMPROVEMENT_THRESHOLD: f64 = 0.45;
 /// the same report digest.
 pub fn run_channel_differential(seed: u64) -> ChannelReport {
     let mut mismatches = Vec::new();
-    let mut digest = 0xcbf29ce484222325u64;
+    let mut digest = FNV_OFFSET;
     let stitcher = SimpleCpuStitcher::default();
 
     // ------------------------------------------------------- replay identity

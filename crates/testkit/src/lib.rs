@@ -84,3 +84,40 @@ pub use shard::{
     ShardReport, ShardStressOutcome,
 };
 pub use stress::{run_stress, StressConfig, StressOutcome};
+
+/// FNV-1a offset basis: the initial state of every digest in this crate.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// Folds `bytes` into the FNV-1a state `h`. Every harness digest is this
+/// one fold, so digests stay pure in their seed and comparable run to run.
+pub(crate) fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv_fold_is_fnv1a() {
+        assert_eq!(fnv_fold(FNV_OFFSET, b""), FNV_OFFSET);
+        assert_eq!(fnv_fold(FNV_OFFSET, b"a"), 0xaf63dc4c8601ec8c);
+        // folding in pieces is folding the concatenation
+        assert_eq!(
+            fnv_fold(fnv_fold(FNV_OFFSET, b"foo"), b"bar"),
+            fnv_fold(FNV_OFFSET, b"foobar")
+        );
+    }
+
+    #[test]
+    fn fnv_digest_is_order_sensitive() {
+        let digest =
+            |px: &[u16]| (px.iter()).fold(FNV_OFFSET, |h, p| fnv_fold(h, &p.to_le_bytes()));
+        assert_ne!(digest(&[1, 2, 3]), digest(&[3, 2, 1]));
+        assert_ne!(digest(&[0, 0]), digest(&[0, 0, 0]));
+    }
+}

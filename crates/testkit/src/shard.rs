@@ -24,6 +24,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::cases::SweepCase;
 use crate::sched_stress::Displacement2;
+use crate::{fnv_fold, FNV_OFFSET};
 
 /// One oracle case: a ground-truth sweep case plus a shard geometry.
 #[derive(Clone, Debug)]
@@ -125,14 +126,6 @@ pub fn shard_cases(seed: u64) -> Vec<ShardCaseSpec> {
     ]
 }
 
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 fn digest_displacements(h: u64, v: &[Option<Displacement2>]) -> u64 {
     v.iter().fold(h, |h, d| match d {
         Some(d) => {
@@ -153,7 +146,7 @@ fn to_bits(v: &[Option<stitch_core::Displacement>]) -> Vec<Option<Displacement2>
 pub fn run_shard_differential(seed: u64) -> ShardReport {
     let specs = shard_cases(seed);
     let mut mismatches = Vec::new();
-    let mut digest = 0xcbf29ce484222325u64;
+    let mut digest = FNV_OFFSET;
     for spec in &specs {
         let label = spec.label();
         let source: Arc<dyn TileSource> = Arc::new(spec.case.source());
@@ -309,7 +302,7 @@ pub fn run_shard_stress(seed: u64) -> ShardStressOutcome {
 fn run_shard_stress_inner(seed: u64, rng: &mut StdRng) -> ShardStressOutcome {
     let iterations = 5usize;
     let mut fates = Vec::with_capacity(iterations);
-    let mut digest = 0xcbf29ce484222325u64;
+    let mut digest = FNV_OFFSET;
     let mut leaked_reservations = 0usize;
     let mut leaked_spectra = 0usize;
     let mut high_water_ok = true;

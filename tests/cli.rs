@@ -112,6 +112,77 @@ fn generate_then_stitch_multichannel_stack() {
 }
 
 #[test]
+fn multichannel_stitch_honours_observability_and_fault_flags() {
+    use stitching::trace::json;
+
+    let dir = std::env::temp_dir().join("stitch_cli_it_channel_flags");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.display().to_string();
+    let cmd = parse(&argv(&format!(
+        "generate --out {dir_s} --rows 2 --cols 3 --tile-width 64 --tile-height 48 \
+         --channels 2 --z-planes 2"
+    )))
+    .unwrap();
+    assert_eq!(run(cmd), 0);
+
+    let (trace, report, health) = (
+        dir.join("trace.json"),
+        dir.join("report.json"),
+        dir.join("health.json"),
+    );
+    let pos = dir.join("pos.tsv");
+    let cmd = parse(&argv(&format!(
+        "stitch --dataset {dir_s} --impl simple-cpu --out {} --positions {} --trace-json {} \
+         --run-report {} --health-json {} --fault-spec corrupt=1.1 --allow-partial \
+         --highlight",
+        dir.join("m.pgm").display(),
+        pos.display(),
+        trace.display(),
+        report.display(),
+        health.display()
+    )))
+    .unwrap();
+    assert_eq!(run(cmd), 0, "--allow-partial degrades instead of aborting");
+    for path in [&trace, &report, &health] {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("{} not written: {e}", path.display()));
+        json::validate(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    }
+    let health = std::fs::read_to_string(&health).unwrap();
+    assert!(
+        health.contains(r#""failed": [{"row": 1, "col": 1, "#),
+        "tile (1,1) must be reported lost: {health}"
+    );
+    // the lost tile is a hole in every unit's mosaic: its centre is
+    // covered by no other tile at 25% overlap
+    let tsv = std::fs::read_to_string(&pos).unwrap();
+    let (x, y) = tsv
+        .lines()
+        .find_map(|l| {
+            let f: Vec<i64> = l.split('\t').map(|v| v.parse().unwrap_or(-1)).collect();
+            (f[..2] == [1, 1]).then(|| (f[2] as usize, f[3] as usize))
+        })
+        .unwrap();
+    for label in ["c00_z00", "c00_z01", "c01_z00", "c01_z01"] {
+        let img = stitching::image::pgm::read_pgm(dir.join(format!("m_{label}.pgm"))).unwrap();
+        assert_eq!(
+            img.get(x + 32, y + 24),
+            0,
+            "unit {label} shows the lost tile"
+        );
+    }
+
+    // without --allow-partial the lost tile aborts phase 1 (exit 2)
+    let cmd = parse(&argv(&format!(
+        "stitch --dataset {dir_s} --impl simple-cpu --fault-spec corrupt=1.1"
+    )))
+    .unwrap();
+    assert_eq!(run(cmd), 2);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn stitch_missing_dataset_fails_cleanly() {
     let cmd = parse(&argv("stitch --dataset /nonexistent/place")).unwrap();
     assert_eq!(run(cmd), 1);
